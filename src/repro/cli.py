@@ -149,16 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="fast-forward lane for warm-up and two-level "
                           "gaps (default: REPRO_FF_LANE env, then 'jit')")
     _add_tier_args(run)
-    run.add_argument("--window-jobs", type=_positive_int, default=None,
-                     metavar="N",
-                     help="two-level live-point mode: fan measured windows "
-                          "out over N worker processes (results are "
-                          "byte-identical for any N)")
-    run.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                     help="warm-state checkpoint store for two-level runs "
-                          "(default: REPRO_CKPT_DIR env, else no store); "
-                          "either flag or the env var enables live-point "
-                          "mode")
 
     compare = sub.add_parser("compare",
                              help="run several configs on one workload")
@@ -201,16 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "jit_speedup section (default: REPRO_FF_LANE "
                             "env, then 'jit')")
     _add_tier_args(bench, tiers=(*SAMPLING_TIERS, "both"))
-    bench.add_argument("--window-jobs", type=_positive_int, default=None,
-                       metavar="N",
-                       help="also measure live-point checkpoint phases "
-                            "with N-way window parallelism and record the "
-                            "window_parallel_speedup section (two-level "
-                            "tier only)")
-    bench.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                       help="checkpoint store for --window-jobs phases "
-                            "(default: a throwaway temp dir, so the "
-                            "populate phase measures a cold store)")
     bench.add_argument("--output", default="BENCH_sim_throughput.json")
     bench.add_argument("--before", default=None, metavar="JSON",
                        help="embed a prior run as the 'before' section")
@@ -341,12 +321,8 @@ def _cmd_run_multicore(args) -> int:
 
     if args.tier != "detailed":
         print("error: --cores > 1 supports only the detailed tier "
-              "(sampling/checkpointing assume a private hierarchy)",
+              "(sampling assumes a private hierarchy)",
               file=sys.stderr)
-        return 2
-    if args.window_jobs is not None or args.checkpoint_dir is not None:
-        print("error: --window-jobs/--checkpoint-dir are single-core "
-              "two-level options", file=sys.stderr)
         return 2
     workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
     if len(workloads) == 1:
@@ -424,16 +400,6 @@ def _cmd_run(args) -> int:
               "(single-core tracing is `repro trace`)", file=sys.stderr)
         return 2
     sampling = _sampling_from_args(args)
-    checkpoints = None
-    if sampling is not None:
-        from .fastpath import make_checkpoint_plan
-        checkpoints = make_checkpoint_plan(args.window_jobs,
-                                           args.checkpoint_dir)
-    elif args.window_jobs is not None or args.checkpoint_dir is not None:
-        print("error: --window-jobs/--checkpoint-dir require "
-              "--tier two-level (the detailed tier is never checkpointed)",
-              file=sys.stderr)
-        return 2
     try:
         config = build_named_config(args.config)
     except ValueError as exc:
@@ -444,8 +410,7 @@ def _cmd_run(args) -> int:
                       warmup_instructions=args.warmup,
                       config_name=args.config,
                       sampling=sampling,
-                      ff_lane=args.ff_lane,
-                      checkpoints=checkpoints)
+                      ff_lane=args.ff_lane)
     tier = f" [{sampling.tier}]" if sampling is not None else ""
     print(f"{args.workload} / {args.config}{tier}:")
     _print_stats(result.stats, result.energy)
@@ -463,18 +428,6 @@ def _cmd_run(args) -> int:
         print(f"  sampled estimates   ipc={est['ipc']:.4f} "
               f"mpki={est['mpki']:.2f} "
               f"runahead-share={100 * est['runahead_share']:.1f}%")
-        if "checkpoints" in meta:
-            cp = meta["checkpoints"]
-            store = (f"store {cp['store_hits']} hit / "
-                     f"{cp['store_misses']} miss"
-                     if cp["store_hits"] or cp["store_misses"]
-                     else "no store")
-            print(f"  checkpoints         {cp['count']} live-points, "
-                  f"{cp['jobs']} window job(s), {store}")
-            print(f"  checkpoint time     "
-                  f"save={cp['checkpoint_seconds']:.3f}s "
-                  f"restore={cp['restore_seconds']:.3f}s "
-                  f"windows={cp['window_wall_seconds']:.3f}s")
     return 0
 
 
@@ -539,32 +492,22 @@ def _cmd_suite(args) -> int:
 
 
 def _print_phase_table(doc) -> None:
-    """Per-phase wall-time breakdown of every two-level measurement:
-    legacy grid cells plus (when measured) the live-point checkpoint
-    phases, one row each."""
-    rows = []
-    for cell in doc.get("results", []):
-        if cell.get("tier") != "two-level":
-            continue
-        rows.append((f"{cell['workload']}/{cell['mode']}",
-                     f"legacy/{cell.get('ff_lane', '?')}", cell))
-    for name, cell in doc.get("window_parallel_speedup",
-                              {}).get("per_cell", {}).items():
-        for phase_name, phase in cell.get("phases", {}).items():
-            rows.append((name, phase_name, phase))
+    """Per-phase wall-time breakdown of every two-level measurement,
+    one row per cell and lane."""
+    rows = [cell for cell in doc.get("results", [])
+            if cell.get("tier") == "two-level"]
     if not rows:
         return
     print("\nper-phase seconds (two-level):")
-    print(f"{'cell':22s} {'phase':14s} {'ff':>7s} {'translate':>9s} "
-          f"{'ckpt':>7s} {'restore':>7s} {'detailed':>8s} {'total':>7s}")
-    for name, phase_name, data in rows:
-        print(f"{name:22s} {phase_name:14s} "
-              f"{data.get('ff_seconds', 0.0):7.3f} "
-              f"{data.get('translate_seconds', 0.0):9.3f} "
-              f"{data.get('checkpoint_seconds', 0.0):7.3f} "
-              f"{data.get('restore_seconds', 0.0):7.3f} "
-              f"{data.get('detailed_seconds', 0.0):8.3f} "
-              f"{data.get('sim_seconds', 0.0):7.3f}")
+    print(f"{'cell':22s} {'lane':6s} {'ff':>7s} {'translate':>9s} "
+          f"{'detailed':>8s} {'total':>7s}")
+    for cell in rows:
+        print(f"{cell['workload'] + '/' + cell['mode']:22s} "
+              f"{cell.get('ff_lane', '?'):6s} "
+              f"{cell['ff_seconds']:7.3f} "
+              f"{cell['translate_seconds']:9.3f} "
+              f"{cell['detailed_seconds']:8.3f} "
+              f"{cell['sim_seconds']:7.3f}")
 
 
 def _cmd_bench_throughput(args) -> int:
@@ -587,16 +530,10 @@ def _cmd_bench_throughput(args) -> int:
         ff_lanes = (args.ff_lane,)
     else:
         ff_lanes = None
-    if args.window_jobs is not None and "two-level" not in tiers:
-        print("error: --window-jobs requires a two-level tier "
-              "(--tier two-level or --tier both)", file=sys.stderr)
-        return 2
     doc = bench_mod.run_benchmark(
         workloads=args.workloads, modes=args.modes,
         instructions=args.instructions, warmup=args.warmup, reps=args.reps,
-        tiers=tiers, plan=plan, ff_lanes=ff_lanes,
-        window_jobs=args.window_jobs, checkpoint_dir=args.checkpoint_dir,
-        progress=print)
+        tiers=tiers, plan=plan, ff_lanes=ff_lanes, progress=print)
     if args.before:
         doc = bench_mod.attach_before(doc, bench_mod.load_results(args.before))
     path = bench_mod.write_results(doc, args.output)
@@ -613,12 +550,6 @@ def _cmd_bench_throughput(args) -> int:
             f"{cell}={x:.2f}x" for cell, x in jit["per_cell"].items())
             + f"  geomean={jit['geomean']:.2f}x")
     _print_phase_table(doc)
-    if "window_parallel_speedup" in doc:
-        wps = doc["window_parallel_speedup"]
-        print(f"window-parallel speedup (jobs={wps['jobs']}, "
-              f"{wps['usable_cpus']} usable cpu(s)): "
-              f"geomean={wps['geomean_speedup']:.2f}x "
-              f"(warm-store alone {wps['geomean_warm_speedup']:.2f}x)")
     print(f"written to {path}")
     if args.check:
         failures = bench_mod.check_regression(

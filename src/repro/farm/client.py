@@ -149,10 +149,6 @@ class FarmClient:
         merges the results back and saves — so the on-disk cache a
         remote suite leaves behind is identical to a local run's.
         """
-        if getattr(matrix, "_checkpointed", False):
-            raise ValueError(
-                "live-point (checkpointed) matrices cannot be prefetched "
-                "remotely: checkpoint stores are host-local")
         missing = matrix.missing_cells(cells)
         if not missing:
             return 0

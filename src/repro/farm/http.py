@@ -20,9 +20,7 @@ Routes (all JSON unless noted)::
     GET  /v1/traces/<wl>/<config>     Perfetto trace JSON on demand
 
 Cell specs are :class:`~repro.analysis.parallel.CellSpec` field dicts;
-the server validates them against the known workloads/configs and forces
-live-point fields off (checkpoint stores are host-local paths, and
-``.lp`` keys deliberately never alias plain two-level cells).
+the server validates them against the known workloads/configs.
 """
 
 from __future__ import annotations
@@ -54,22 +52,13 @@ class HttpError(Exception):
 
 
 def decode_spec(obj: Any) -> CellSpec:
-    """A validated :class:`CellSpec` from one wire dict.
-
-    Live-point fields (``window_jobs``/``checkpoint_dir``) are forced
-    off: a checkpoint store is a host-local path, and the ``.lp`` key
-    suffix exists precisely because checkpointed estimates are not
-    bit-identical to the plain two-level path the farm serves.
-    """
+    """A validated :class:`CellSpec` from one wire dict."""
     if not isinstance(obj, dict):
         raise HttpError(400, "cell spec must be a JSON object")
     unknown = sorted(set(obj) - set(_SPEC_DEFAULTS))
     if unknown:
         raise HttpError(400, f"unknown cell-spec fields: {unknown}")
-    merged = {**_SPEC_DEFAULTS, **obj}
-    merged["window_jobs"] = 0
-    merged["checkpoint_dir"] = ""
-    spec = CellSpec(**merged)
+    spec = CellSpec(**{**_SPEC_DEFAULTS, **obj})
     if spec.workload not in workload_names() and not (
             spec.workloads and spec.workload == ""):
         # Multi-core specs may leave `workload` empty and carry the

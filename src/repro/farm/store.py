@@ -2,8 +2,7 @@
 service-grade artifact.
 
 :class:`ExperimentMatrix` keeps one JSON file per matrix;
-``CheckpointStore`` keeps one file per warm state.  The farm needs the
-middle ground: one immutable file per *(model version, cell key)* so
+the farm keeps one immutable file per *(model version, cell key)* so
 millions of readers can be served straight from disk and a result is
 computed at most once per model version.
 
@@ -13,14 +12,14 @@ computed at most once per model version.
   farm, the matrix, and remote clients all agree byte-for-byte on what
   a cell is).  Bumping ``MODEL_VERSION`` or ``KEY_SCHEMA`` changes the
   version directory, so every stale entry simply never hits again —
-  invalidation is spelled "miss", exactly like the checkpoint store.
+  invalidation is spelled "miss".
 * Immutability: entries are written once via temp-file + ``os.replace``.
   A second ``put`` for an existing valid entry is a no-op — cells are
   deterministic, so equal keys always address equal stats.
 * Concurrency: atomic writes make racing writers safe (each leaves a
-  complete, identical entry); corrupt entries are evicted with the same
-  claim-by-rename dance as ``CheckpointStore`` so an eviction can never
-  destroy a peer's fresh rewrite.
+  complete, identical entry); corrupt entries are evicted by
+  claim-by-rename so an eviction can never destroy a peer's fresh
+  rewrite.
 """
 
 from __future__ import annotations
@@ -42,9 +41,7 @@ def spec_cell_key(spec: CellSpec) -> str:
     sampling plan would derive for the cell (including the multicore
     suffix for ``cores > 1`` specs, whose keys match
     ``ExperimentMatrix.get_multicore``)."""
-    suffix = tier_suffix(spec.tier, spec.ramp, spec.window, spec.stride,
-                         live_point=bool(spec.window_jobs
-                                         or spec.checkpoint_dir))
+    suffix = tier_suffix(spec.tier, spec.ramp, spec.window, spec.stride)
     if getattr(spec, "cores", 1) > 1:
         workload_list = (spec.workloads or spec.workload).split(",")
         suffix += multicore_suffix(spec.cores, spec.share, workload_list)
@@ -104,9 +101,14 @@ class ResultStore:
         return stats
 
     def _evict(self, path: Path, cell: str) -> Optional[dict[str, Any]]:
-        """Claim-by-rename eviction of a corrupt entry (see
-        ``CheckpointStore._evict`` for the race this avoids: a bare
-        unlink could destroy a peer's fresh atomic rewrite)."""
+        """Claim-by-rename eviction of a corrupt entry.
+
+        A bare unlink races two ways: two evictors race each other to
+        the delete, and a peer's ``put`` can atomically replace the
+        corrupt file between our read and our delete, so the unlink
+        would destroy the valid entry.  Renaming to a per-process name
+        lets exactly one evictor win; the claimed bytes are re-checked
+        and put back when a peer's rewrite already made them valid."""
         claimed = path.with_name(f"{path.name}.evict.{os.getpid()}")
         try:
             os.rename(path, claimed)

@@ -88,15 +88,6 @@ EVENT_SCHEMAS: dict[str, dict[str, tuple[type, ...]]] = {
         "length": (int,),           # instructions covered by the region
         "loop": (bool,),            # region closes a back edge
     },
-    # Live-point checkpointing (two-level tier with a CheckpointPlan).
-    "ckpt.save": {
-        "position": (int,),         # stride boundary (instructions from entry)
-        "store": (bool,),           # persisted to the on-disk store
-    },
-    "ckpt.restore": {
-        "position": (int,),
-        "store": (bool,),           # True: store hit; False: in-memory reuse
-    },
     # Multi-core shared-memory interference (repro.multicore): emitted by
     # the SharedLLC complex via its mc_hook, onto the shared trace.
     "mc.cross_evict": {

@@ -82,14 +82,6 @@ class TestSpecCellKey:
         assert spec_cell_key(spec) == matrix._key("calculix", "baseline",
                                                   False)
 
-    def test_live_point_fields_append_lp_suffix(self):
-        spec = CellSpec("calculix", "baseline", False, 5000, 500,
-                        tier="two-level", ramp=100, window=200, stride=1000,
-                        window_jobs=4)
-        assert spec_cell_key(spec).endswith(".lp")
-        assert not spec_cell_key(
-            spec._replace(window_jobs=0)).endswith(".lp")
-
     def test_multicore_specs_append_mc_suffix(self):
         spec = CellSpec("", "rab_cc", False, 2000, 3000,
                         cores=2, share="llc,dram", workloads="mcf,lbm")

@@ -144,16 +144,6 @@ class TestEndpoints:
 
 
 class TestDecodeSpec:
-    def test_live_point_fields_forced_off(self):
-        spec = decode_spec({"workload": "calculix",
-                            "config_name": "baseline",
-                            "instructions": 400, "warmup": 500,
-                            "window_jobs": 8,
-                            "checkpoint_dir": "/tmp/somewhere"})
-        assert spec.window_jobs == 0
-        assert spec.checkpoint_dir == ""
-        assert not spec_cell_key(spec).endswith(".lp")
-
     def test_rejects_bad_types_and_plans(self):
         base = {"workload": "calculix", "config_name": "baseline",
                 "instructions": 400, "warmup": 500}
@@ -326,19 +316,3 @@ class TestRemoteMatrix:
             return client.prefetch_matrix(matrix, self.CELLS)
 
         assert _with_server(body) == 0
-
-    def test_prefetch_matrix_rejects_live_point_matrices(self, tmp_path):
-        from repro.config import SamplingConfig
-        matrix = ExperimentMatrix(
-            instructions=5000, warmup=500, cache_path=None,
-            sampling=SamplingConfig(tier="two-level", ramp_instructions=100,
-                                    window_instructions=200,
-                                    stride_instructions=1000),
-            window_jobs=2)
-
-        def body(client, svc):
-            with pytest.raises(ValueError):
-                client.prefetch_matrix(matrix, self.CELLS)
-            return True
-
-        assert _with_server(body)

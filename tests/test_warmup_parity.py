@@ -299,13 +299,52 @@ def test_warm_lane_state_parity_on_workloads(workload):
 
 
 # ---------------------------------------------------------------------------
-# Lane-equivalence gate (repro.fastpath.checkpoint): both fast-forward
+# Lane-equivalence gate (repro.fastpath.snapshot_bytes): both fast-forward
 # lanes must materialize byte-identical warm-state snapshots at every
 # stride boundary.  This is strictly stronger than state parity above —
-# it pins the *canonical serialization* (snapshot_bytes), which is what
-# checkpoint keys and the content-addressed store hash.  A lane whose
-# snapshots drifted would silently split the store into per-lane chains.
+# it pins the *canonical serialization* of the whole warm state, the
+# only comparison that covers stream-prefetcher and DRAM-controller
+# state across lanes.
 # ---------------------------------------------------------------------------
+
+def test_snapshot_bytes_are_deterministic():
+    """Identically built and run processors serialize to equal bytes;
+    snapshotting twice leaves the state unchanged; and the serialization
+    does not depend on the memory dict's insertion order."""
+    from repro.fastpath import snapshot_bytes, snapshot_digest
+
+    procs = []
+    for _ in range(2):
+        built = build_workload("mcf")
+        proc = Processor(built.program, build_named_config("rab_cc_pf"),
+                         memory=built.memory, init_regs=built.init_regs)
+        proc.warm_up(12_000)
+        proc.run(2_000)
+        procs.append(proc)
+    first, second = procs
+    snap = first.snapshot()
+    reference = snapshot_bytes(snap)
+    assert snapshot_bytes(first.snapshot()) == reference
+    assert snapshot_bytes(second.snapshot()) == reference
+    assert snapshot_digest(second.snapshot()) == snapshot_digest(snap)
+    reordered = dict(snap, memory=dict(reversed(snap["memory"].items())))
+    assert snapshot_bytes(reordered) == reference
+
+
+@pytest.mark.parametrize("share", ["llc,dram", "dram"])
+def test_snapshot_refuses_shared_hierarchy(share):
+    """A core on a shared hierarchy cannot snapshot: its warm state spans
+    co-runners (one DRAM controller, and with ``llc,dram`` one LLC and
+    MSHR pool), so a per-core snapshot would silently capture other
+    cores' state.  Private LLCs do not help: the controller's row-buffer
+    and queue state is still cross-core."""
+    from repro.memory import SharedHierarchyError
+    from repro.multicore import CoreSpec, System
+
+    system = System([CoreSpec("mcf"), CoreSpec("lbm")], share=share)
+    with pytest.raises(SharedHierarchyError):
+        system.cores[0].snapshot()
+
 
 @pytest.mark.parametrize("workload", ["mcf", "libquantum"])
 def test_ff_lane_snapshots_byte_identical_at_stride_boundaries(workload):
