@@ -58,9 +58,8 @@ def tier_suffix(tier: str, ramp: int, window: int, stride: int) -> str:
 def cell_key(workload: str, config_name: str, chain_stats: bool,
              instructions: int, warmup: int, suffix: str = "") -> str:
     """The KEY_SCHEMA=3 cell key: every input that affects a cell's
-    stats, shared verbatim by :class:`ExperimentMatrix`, the farm's
-    result store, and remote clients (byte-equal keys are what make
-    cross-host cache hits sound)."""
+    stats, shared by every :class:`ExperimentMatrix` lookup (byte-equal
+    keys are what make cache hits across processes and hosts sound)."""
     variant = "+chains" if chain_stats else ""
     return (f"{workload}/{config_name}{variant}"
             f"/{instructions}/w{warmup}{suffix}")

@@ -14,6 +14,9 @@ Commands
     experiment matrix (running any missing cells).
 ``suite``
     Regenerate every figure/table (the full evaluation).
+``sweep NAME``
+    Run one canned sensitivity sweep (e.g. ``buffer-size``) and write
+    its table.
 ``bench-throughput``
     Measure simulator throughput (KIPS: committed kilo-instructions per
     host second) over a workload x mode grid and write
@@ -147,7 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "plus a shared-memory track")
     run.add_argument("--ff-lane", choices=FF_LANES, default=None,
                      help="fast-forward lane for warm-up and two-level "
-                          "gaps (default: REPRO_FF_LANE env, then 'jit')")
+                          "gaps, --cores 1 only (default: REPRO_FF_LANE "
+                          "env, then 'jit')")
     _add_tier_args(run)
 
     compare = sub.add_parser("compare",
@@ -168,10 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--instructions", type=int, default=None)
     suite.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: all cores)")
-    suite.add_argument("--remote", default=None, metavar="URL",
-                       help="simulate missing cells on a 'repro serve' "
-                            "farm instead of in-process (results and the "
-                            "on-disk cache are byte-identical either way)")
 
     bench = sub.add_parser(
         "bench-throughput",
@@ -250,31 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--warmup", type=int, default=None)
     sweep.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: all cores)")
-    sweep.add_argument("--remote", default=None, metavar="URL",
-                       help="fetch the sweep table from a 'repro serve' "
-                            "farm instead of running it in-process")
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the experiment farm: an HTTP service that coalesces "
-             "cell requests, shards them over a worker pool, and persists "
-             "results in a content-addressed store")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8077,
-                       help="listen port (0 binds an ephemeral port)")
-    serve.add_argument("--store", default="results/farm", metavar="DIR",
-                       help="result-store root directory ('' disables "
-                            "persistence; default: results/farm)")
-    serve.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: all cores)")
-    serve.add_argument("--instructions", type=int, default=None,
-                       help="default budget for figure/sweep/trace "
-                            "endpoints (cell requests carry their own)")
-    serve.add_argument("--warmup", type=int, default=None)
-    serve.add_argument("--batch-delay", type=float, default=0.05,
-                       metavar="SECONDS",
-                       help="admission window: how long to keep draining "
-                            "newly queued cells into the current batch")
 
     return parser
 
@@ -323,6 +298,10 @@ def _cmd_run_multicore(args) -> int:
         print("error: --cores > 1 supports only the detailed tier "
               "(sampling assumes a private hierarchy)",
               file=sys.stderr)
+        return 2
+    if args.ff_lane is not None:
+        print("error: --ff-lane applies to the single-core fast-forward "
+              "lane and requires --cores 1", file=sys.stderr)
         return 2
     workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
     if len(workloads) == 1:
@@ -474,13 +453,8 @@ def _cmd_figure(args) -> int:
 
 def _cmd_suite(args) -> int:
     matrix = _matrix(args.instructions)
-    if args.remote:
-        from .farm import FarmClient
-        simulated = FarmClient(args.remote).prefetch_matrix(
-            matrix, figures.figure_matrix_cells(), progress=print_progress)
-    else:
-        simulated = matrix.prefetch(figures.figure_matrix_cells(),
-                                    jobs=args.jobs, progress=print_progress)
+    simulated = matrix.prefetch(figures.figure_matrix_cells(),
+                                jobs=args.jobs, progress=print_progress)
     if simulated:
         print(f"simulated {simulated} missing cells")
     for fig_id, (extractor, filename) in FIGURES.items():
@@ -619,38 +593,12 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.remote:
-        from .analysis.report import Table
-        from .farm import FarmClient
-        doc = FarmClient(args.remote).sweep(
-            args.name, benches=args.benches,
-            instructions=args.instructions, warmup=args.warmup)
-        table = Table(title=doc["title"], headers=doc["headers"],
-                      rows=[tuple(row) for row in doc["rows"]],
-                      notes=list(doc["notes"]))
-    else:
-        table = run_named_sweep(args.name, benches=args.benches,
-                                instructions=args.instructions,
-                                warmup=args.warmup, jobs=args.jobs)
+    table = run_named_sweep(args.name, benches=args.benches,
+                            instructions=args.instructions,
+                            warmup=args.warmup, jobs=args.jobs)
     path = write_report(table, f"sweep_{args.name}.txt")
     print(render(table))
     print(f"\nwritten to {path}")
-    return 0
-
-
-def _cmd_serve(args) -> int:
-    import asyncio
-
-    from . import farm
-
-    try:
-        asyncio.run(farm.serve(
-            host=args.host, port=args.port,
-            store_dir=args.store or None, jobs=args.jobs,
-            instructions=args.instructions, warmup=args.warmup,
-            batch_delay=args.batch_delay))
-    except KeyboardInterrupt:
-        pass
     return 0
 
 
@@ -674,8 +622,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_trace(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
     return 1
 
 

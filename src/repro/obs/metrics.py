@@ -125,34 +125,6 @@ class MetricsRegistry:
                             + [values[n] for n in self.names()])
 
 
-def farm_registry() -> MetricsRegistry:
-    """The experiment-farm serving metrics (collected from a
-    :class:`repro.farm.FarmService`): request outcomes — store hit,
-    in-memory hit, coalesced onto an in-flight run, or admitted for
-    simulation — plus queue/batch/retry accounting and the
-    content-addressed result store's own counters.  Served over
-    ``GET /v1/metrics`` by ``repro serve``."""
-    r = MetricsRegistry()
-    c = r.counter
-    c("farm.requests", "requests", "cell requests received")
-    c("farm.memo_hits", "memo_hits", "requests served from the in-memory memo")
-    c("farm.store_hits", "store_hits",
-      "requests served from the result store")
-    c("farm.coalesced", "coalesced",
-      "requests coalesced onto an in-flight run")
-    c("farm.admitted", "admitted", "cells admitted for simulation")
-    c("farm.batches", "batches", "admission batches (thundering-herd size)")
-    c("farm.requeues", "requeues", "cells requeued after a worker crash")
-    c("farm.completed", "completed", "cells simulated to completion")
-    c("farm.failures", "failures", "cells that failed permanently")
-    c("farm.inflight", "inflight", "cells currently being simulated")
-    c("farm.store.hits", "result_store_hits", "result-store lookup hits")
-    c("farm.store.misses", "result_store_misses",
-      "result-store lookup misses")
-    c("farm.store.puts", "result_store_puts", "result-store entries written")
-    return r
-
-
 def default_registry() -> MetricsRegistry:
     """The standard catalogue covering every ``SimStats`` counter the
     paper's figures consume, plus the derived ratios."""
