@@ -279,7 +279,8 @@ class Processor:
         instructions actually executed (stops at HALT).
 
         This is the fast tier of two-tier simulation (and the whole of
-        pre-run warm-up).  Two lanes produce bit-identical warm state:
+        pre-run warm-up).  Two lanes produce bit-identical warm state,
+        on private and shared hierarchies alike:
 
         * ``"jit"`` (default) — block-compiled execution
           (:mod:`repro.fastpath.blockjit`): each basic block / loop
@@ -299,12 +300,6 @@ class Processor:
             resolve_ff_lane,
         )
         lane = resolve_ff_lane(lane, self.ff_lane)
-        if lane == "jit" and self.hierarchy.is_shared:
-            # The jit lane's flattened warm helpers back-invalidate only
-            # this core's L1s on clean LLC evictions; with a shared LLC
-            # that would leave stale lines in sibling L1s.  The interp
-            # lane routes through SharedLLC._on_evict, which is correct.
-            lane = "interp"
         if self.halted or instructions <= 0:
             return 0
         self.sync_architectural()
@@ -344,9 +339,8 @@ class Processor:
                                pc_line_shift=pc_line_shift)
             t0 = program_translate_seconds(self.program)
             executed = interp.run_warm_jit(
-                instructions, on_ifetch=on_ifetch,
+                instructions, warm, on_ifetch=on_ifetch,
                 on_mem=hierarchy.warm_load, on_branch=on_branch,
-                warm=warm,
                 translate_hook=getattr(self, "_ff_translate_hook", None))
             self.ff_translate_seconds += (
                 program_translate_seconds(self.program) - t0)
@@ -1335,16 +1329,17 @@ class Processor:
             s.dram_reads = a.dram_reads
             s.dram_writes = a.dram_writes
             s.dram_by_kind = dict(a.dram_by_kind)
-            if h.prefetcher is not None:
+            if h.shared.prefetcher is not None:
                 s.prefetches_issued = a.prefetches_issued
         else:
-            s.llc_accesses = h.llc.stats.accesses
-            s.llc_hits = h.llc.stats.hits
-            llc_fill_hits = h.llc.stats.fill_hits
+            shared = h.shared
+            s.llc_accesses = shared.llc.stats.accesses
+            s.llc_hits = shared.llc.stats.hits
+            llc_fill_hits = shared.llc.stats.fill_hits
             s.llc_demand_misses = h.demand_llc_misses()
             s.llc_misses_by_kind = dict(h.llc_misses)
             # DRAM.
-            d = h.controller.stats
+            d = shared.controller.stats
             s.dram_reads = d.reads
             s.dram_writes = d.writes
             s.dram_row_hits = d.row_hits
@@ -1352,9 +1347,9 @@ class Processor:
             s.dram_activates = d.activates
             s.dram_by_kind = dict(d.by_kind)
             # Prefetcher.
-            if h.prefetcher is not None:
-                s.prefetches_issued = h.prefetcher.stats.issued
-                s.prefetches_useful = h.prefetcher.stats.useful
+            if shared.prefetcher is not None:
+                s.prefetches_issued = shared.prefetcher.stats.issued
+                s.prefetches_useful = shared.prefetcher.stats.useful
         # Runahead.
         policy = self.ra_policy
         s.runahead_intervals = policy.interval_count()

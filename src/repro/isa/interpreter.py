@@ -210,20 +210,21 @@ class Interpreter:
     def run_warm_jit(
         self,
         max_instructions: int,
+        warm,
         on_ifetch: Optional[Callable[[int], None]] = None,
         on_mem: Optional[Callable[[int], None]] = None,
         on_branch: Optional[Callable[[int, Instruction, bool, int], None]] = None,
-        warm=None,
         translate_hook=None,
     ) -> int:
         """Block-compiled variant of :meth:`run_warm` (the jit
-        fast-forward lane).  Same architectural semantics and, in events
-        mode (``warm=None``), the identical callback stream; with a
-        ``repro.fastpath.blockjit.WarmTargets`` the compiled blocks feed
-        the cache/predictor warm paths directly in batches.  Falls back
-        to :meth:`run_warm` per-op for out-of-range PCs, non-64-bit-clean
-        registers, and sub-block budget tails.
+        fast-forward lane).  Same architectural semantics; the compiled
+        blocks feed the cache/predictor warm paths named by ``warm`` (a
+        ``repro.fastpath.blockjit.WarmTargets``) directly in batches, so
+        they leave the same warm state the callbacks would.  Falls back
+        to :meth:`run_warm` per-op, with the given callbacks, for
+        out-of-range PCs, non-64-bit-clean registers, and sub-block
+        budget tails.
         """
         from ..fastpath.blockjit import run_warm_jit
-        return run_warm_jit(self, max_instructions, on_ifetch, on_mem,
-                            on_branch, warm, translate_hook)
+        return run_warm_jit(self, max_instructions, warm, on_ifetch, on_mem,
+                            on_branch, translate_hook)

@@ -50,10 +50,6 @@ class AccessResult:
 class MemoryHierarchy:
     """One core's L1I/L1D plus a port into the LLC/DRAM complex."""
 
-    # Re-exported from the shared complex: tests and callers historically
-    # read the reserve off the hierarchy.
-    _SPECULATIVE_RESERVE = SharedLLC._SPECULATIVE_RESERVE
-
     def __init__(self, config: SystemConfig,
                  shared: Optional[SharedLLC] = None) -> None:
         self.config = config
@@ -62,13 +58,6 @@ class MemoryHierarchy:
         self.shared = SharedLLC(config) if shared is None else shared
         self.core_id, self._acct = self.shared.connect(self)
         self.port = DirectLink(self.shared)
-        # Aliases into the complex.  These are the *same objects* the
-        # complex owns, so every historical attribute path — stats
-        # readers, tracer shadows on ``controller.request``, the warm
-        # fast-forward helpers below — keeps working unchanged.
-        self.llc = self.shared.llc
-        self.controller = self.shared.controller
-        self.prefetcher = self.shared.prefetcher
         # Traffic accounting: per-core dicts owned by the complex's
         # CoreAccount, aliased here (update them in place, never rebind).
         self.llc_misses: dict[str, int] = self._acct.llc_misses
@@ -83,42 +72,16 @@ class MemoryHierarchy:
         the memory state below its L1s."""
         return self.shared.is_shared
 
-    # -- per-core counters living in the complex's CoreAccount -------------------
-
-    @property
-    def ifetch_llc_misses(self) -> int:
-        return self._acct.ifetch_llc_misses
-
-    @property
-    def _fills(self) -> list[int]:
-        return self.shared._fills
-
     # -- address helpers ---------------------------------------------------------
 
     def line_of(self, addr: int) -> int:
         return addr >> self._line_shift
 
-    # -- inclusion / FDP hook -----------------------------------------------------
-
-    def _on_llc_eviction(self, line_addr: int, line) -> None:
-        # The complex owns the eviction policy; this delegate exists for
-        # the flattened warm helpers below, which dispatch through the
-        # instance so a tracer shadow still sees rare-path evictions.
-        self.shared._on_evict(line_addr, line)
-
     # -- MSHR occupancy -------------------------------------------------------------
 
-    def _mshr_free_at(self, now: int, kind: str = "demand") -> int:
-        """0 if an LLC MSHR is free at ``now``, else the cycle one frees."""
-        return self.shared._mshr_block(now, kind, self.core_id)
-
-    def _register_fill(self, done: int) -> None:
-        self.shared._register_fill(done, self.core_id)
-
     def mshr_occupancy(self, now: int) -> int:
-        """LLC MSHRs in flight at ``now``.  Non-mutating (unlike
-        ``_mshr_free_at``) so observers can sample it anywhere without
-        perturbing the heap-drain schedule."""
+        """LLC MSHRs in flight at ``now``.  Non-mutating, so observers
+        can sample it anywhere."""
         return self.shared.mshr_occupancy(now)
 
     # -- prefetch issue -----------------------------------------------------------
@@ -215,20 +178,22 @@ class MemoryHierarchy:
         line_addr = addr >> self._line_shift
         if self.l1d.lookup(line_addr) is not None:
             return
-        if self.llc.lookup(line_addr) is None:
-            self.llc.fill(line_addr, 0)
-            if self.shared._mc:
+        shared = self.shared
+        if shared.llc.lookup(line_addr) is None:
+            shared.llc.fill(line_addr, 0)
+            if shared._mc:
                 # Ownership survives warm-up so the timed run can tell a
                 # cross-core eviction of warm state from a self-eviction.
-                self.shared._line_owner[line_addr] = self.core_id
+                shared._line_owner[line_addr] = self.core_id
         self.l1d.fill(line_addr, 0)
 
     def warm_ifetch(self, addr: int) -> None:
         line_addr = self.line_of(addr)
-        if not self.llc.probe(line_addr):
-            self.llc.fill(line_addr, 0)
-            if self.shared._mc:
-                self.shared._line_owner[line_addr] = self.core_id
+        shared = self.shared
+        if not shared.llc.probe(line_addr):
+            shared.llc.fill(line_addr, 0)
+            if shared._mc:
+                shared._line_owner[line_addr] = self.core_id
         self.l1i.fill(line_addr, 0)
 
     # -- flattened warm paths (jit fast-forward lane only) ----------------------
@@ -241,28 +206,33 @@ class MemoryHierarchy:
     # the two against each other.  Must be kept in lockstep with
     # ``Cache.fill``/``Cache.lookup``/``SharedLLC._on_evict``.
     #
-    # The inlined clean-victim path back-invalidates only *this* core's
-    # L1s, which is wrong once the LLC is shared — Processor.fast_forward
-    # therefore forces the interp lane whenever ``is_shared``.
+    # Only the private-complex clean-victim case is inlined (back-
+    # invalidate this core's L1s).  A dirty or prefetched victim, or any
+    # victim in a complex that keeps per-core accounting (``_track``:
+    # shared LLC or shared DRAM), takes the full ``SharedLLC._on_evict``,
+    # which back-invalidates every connected core's L1s and records
+    # cross-core evictions.  With a shared LLC a fill also records this
+    # core as the line's owner, as ``warm_load``/``warm_ifetch`` do.
 
     def _warm_llc_fill(self, line_addr: int, lset) -> None:
         """``llc.fill(line_addr, 0)`` for a line known absent from
         ``lset`` (its set) and not the LLC MRU entry."""
-        llc = self.llc
+        shared = self.shared
+        llc = shared.llc
         ln = None
         if len(lset) >= llc.assoc:
             va, vl = lset.popitem(last=False)
             st = llc.stats
             st.evictions += 1
             llc._resident -= 1
-            if vl.dirty or vl.prefetched:
-                # Writeback / FDP accounting: rare, take the full hook.
+            if vl.dirty or vl.prefetched or shared._track:
+                # Writeback, FDP or per-core accounting: take the full hook.
                 if vl.dirty:
                     st.writebacks += 1
                 if va == llc._mru_key:
                     llc._mru_key = -1
                     llc._mru_line = None
-                self._on_llc_eviction(va, vl)
+                shared._on_evict(va, vl)
             else:
                 # Common case of the eviction hook: back-invalidate L1s.
                 # The victim MRU-clear is dead here (the tail below
@@ -292,13 +262,16 @@ class MemoryHierarchy:
         llc._resident += 1
         llc._mru_key = line_addr
         llc._mru_line = ln
+        if shared._mc:
+            shared._line_owner[line_addr] = self.core_id
 
     def warm_load_miss(self, line_addr: int) -> None:
         """L1D-miss continuation of :meth:`warm_load`, taking the *line*
         address: the caller (generated block code) has already
         established the line is neither the L1D MRU entry nor resident
         in its L1D set."""
-        llc = self.llc
+        shared = self.shared
+        llc = shared.llc
         if line_addr != llc._mru_key:
             lset = llc._sets[line_addr % llc.num_sets]
             lln = lset.get(line_addr)
@@ -317,13 +290,13 @@ class MemoryHierarchy:
                     st = llc.stats
                     st.evictions += 1
                     llc._resident -= 1
-                    if vl.dirty or vl.prefetched:
+                    if vl.dirty or vl.prefetched or shared._track:
                         if vl.dirty:
                             st.writebacks += 1
                         if va == llc._mru_key:
                             llc._mru_key = -1
                             llc._mru_line = None
-                        self._on_llc_eviction(va, vl)
+                        shared._on_evict(va, vl)
                     else:
                         l1d = self.l1d
                         if (l1d._sets[va % l1d.num_sets].pop(va, None)
@@ -350,6 +323,8 @@ class MemoryHierarchy:
                 llc._resident += 1
                 llc._mru_key = line_addr
                 llc._mru_line = ln
+                if shared._mc:
+                    shared._line_owner[line_addr] = self.core_id
         # l1d.fill(line_addr, 0): the line is still absent (the back-
         # invalidation above only removes), so only the victim path of
         # Cache.fill applies.
@@ -379,7 +354,7 @@ class MemoryHierarchy:
         """Bit-identical to :meth:`warm_ifetch`, flattened, taking the
         *line* address (the generated code folds ``pc*4 >> shift`` to a
         literal at translate time)."""
-        llc = self.llc
+        llc = self.shared.llc
         if line_addr != llc._mru_key:
             lset = llc._sets[line_addr % llc.num_sets]
             if line_addr not in lset:
@@ -428,18 +403,19 @@ class MemoryHierarchy:
         digests (see ``repro.fastpath.snapshot_bytes``).  Only meaningful
         for a privately owned complex; Processor.snapshot refuses shared
         hierarchies before reaching this."""
+        shared = self.shared
         return {
             "l1i": self.l1i.snapshot(),
             "l1d": self.l1d.snapshot(),
-            "llc": self.llc.snapshot(),
+            "llc": shared.llc.snapshot(),
             "llc_misses": tuple(sorted(self.llc_misses.items())),
             "llc_accesses": tuple(sorted(self.llc_accesses.items())),
-            "ifetch_llc_misses": self.ifetch_llc_misses,
-            "fills": tuple(self._fills),
+            "ifetch_llc_misses": self._acct.ifetch_llc_misses,
+            "fills": tuple(shared._fills),
             "mshr_rejections": self.mshr_rejections,
-            "controller": self.controller.snapshot(),
-            "prefetcher": (None if self.prefetcher is None
-                           else self.prefetcher.snapshot()),
+            "controller": shared.controller.snapshot(),
+            "prefetcher": (None if shared.prefetcher is None
+                           else shared.prefetcher.snapshot()),
         }
 
     # -- reporting ----------------------------------------------------------------
@@ -448,4 +424,4 @@ class MemoryHierarchy:
         return self.llc_misses["demand"] + self.llc_misses["store"]
 
     def dram_requests(self) -> int:
-        return self.controller.stats.requests
+        return self.shared.controller.stats.requests

@@ -112,8 +112,8 @@ class System:
     def warm_up(self, instructions: int) -> list[int]:
         """Functionally warm each core in core order.  Sequential by
         design: warm-up is untimed, and a fixed order keeps the shared
-        LLC's warm contents deterministic.  (The jit lane is refused by
-        the processors themselves when the hierarchy is shared.)
+        LLC's warm contents deterministic.  Both fast-forward lanes leave
+        the same shared state (tests/test_warmup_parity.py).
 
         Warm-up evictions are attributed to the warming core, then the
         interference counters are reset: warm-order artifacts are not

@@ -154,7 +154,7 @@ class Tracer:
             self._shadow(chain_cache, "lookup", lookup)
 
         if "dram" in kinds:
-            controller = proc.hierarchy.controller
+            controller = proc.hierarchy.shared.controller
             dram = controller.dram
             orig_request = controller.request
 
@@ -173,7 +173,7 @@ class Tracer:
 
             self._shadow(controller, "request", request)
 
-        prefetcher = proc.hierarchy.prefetcher
+        prefetcher = proc.hierarchy.shared.prefetcher
         if prefetcher is not None:
             if "prefetch_issue" in kinds:
                 hierarchy = proc.hierarchy

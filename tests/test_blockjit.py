@@ -18,7 +18,7 @@ from repro.config import build_named_config
 from repro.fastpath import blockjit
 from repro.fastpath.blockjit import (FF_LANES, WarmTargets, jit_program,
                                      program_translate_seconds,
-                                     resolve_ff_lane)
+                                     resolve_ff_lane, warm_geom)
 from repro.frontend.branch_predictor import BranchPredictor
 from repro.isa import Interpreter, ProgramBuilder
 from repro.isa.blocks import (BRANCH, HALT, LOOP, REGION, STRAIGHT,
@@ -88,6 +88,25 @@ def _chain_program():
     return b.build()
 
 
+def _warm_targets():
+    """Fresh baseline caches and predictor for one jit-lane run."""
+    cfg = build_named_config("baseline")
+    hierarchy = MemoryHierarchy(cfg)
+    shift = ((hierarchy.l1i.line_bytes.bit_length() - 1)
+             - (blockjit.INST_BYTES.bit_length() - 1))
+    return WarmTargets(hierarchy=hierarchy,
+                       predictor=BranchPredictor(cfg.branch),
+                       prev_taken={}, pc_line_shift=shift)
+
+
+def _jit(program):
+    """The program's :class:`JitProgram` for baseline geometry."""
+    warm = _warm_targets()
+    return jit_program(program, warm.pc_line_shift,
+                       warm_geom(warm.hierarchy, warm.predictor,
+                                 Interpreter(program).memory))
+
+
 class TestDiscovery:
     def test_block_kinds(self):
         program = _loop_program()
@@ -135,22 +154,16 @@ class TestCodegen:
     def test_source_deterministic(self):
         program = _loop_program()
         blk = discover_block(program, 1)
-        s1 = blockjit.generate_source(blk, "events", cb_mask=7)
-        s2 = blockjit.generate_source(blk, "events", cb_mask=7)
+        jp = _jit(program)
+        s1 = blockjit.generate_source(blk, jp.line_shift, jp.geom)
+        s2 = blockjit.generate_source(blk, jp.line_shift, jp.geom)
         assert s1 == s2
-
-    def test_events_mask_gates_callbacks(self):
-        program = _loop_program()
-        blk = discover_block(program, 1)
-        full = blockjit.generate_source(blk, "events", cb_mask=7)
-        silent = blockjit.generate_source(blk, "events", cb_mask=0)
-        assert "on_ifetch(" in full and "on_branch(" in full
-        assert "on_ifetch(" not in silent and "on_branch(" not in silent
 
     def test_compiled_block_executes(self):
         program = _loop_program()
         interp = Interpreter(program)
-        assert interp.run_warm_jit(10 ** 6) == 202  # LI + 100*(ADDI+BNE) + HALT
+        # LI + 100*(ADDI+BNE) + HALT
+        assert interp.run_warm_jit(10 ** 6, _warm_targets()) == 202
         assert interp.halted
         ref = Interpreter(program)
         ref.run_warm(10 ** 6)
@@ -168,10 +181,10 @@ class TestCodegen:
             return b.build()
 
         p1, p2 = build(), build()
-        jp1 = jit_program(p1, "events", cb_mask=0)
+        jp1 = _jit(p1)
         jp1.entry_at(1)
         before = len(blockjit._CODE_CACHE)
-        jp2 = jit_program(p2, "events", cb_mask=0)
+        jp2 = _jit(p2)
         jp2.entry_at(1)
         assert len(blockjit._CODE_CACHE) == before  # content-addressed hit
         # Same compiled code object underneath, distinct bound functions.
@@ -179,7 +192,7 @@ class TestCodegen:
 
     def test_translate_accounting(self):
         program = _loop_program()
-        jp = jit_program(program, "events", cb_mask=0)
+        jp = _jit(program)
         jp.entry_at(1)
         assert jp.translate_count == 1
         assert jp.translate_seconds > 0.0
@@ -190,7 +203,8 @@ class TestCodegen:
         program = _loop_program()
         calls: list[tuple[int, int, bool]] = []
         interp = Interpreter(program)
-        interp.run_warm_jit(50, translate_hook=lambda *a: calls.append(a))
+        interp.run_warm_jit(50, _warm_targets(),
+                            translate_hook=lambda *a: calls.append(a))
         first = list(calls)
         assert first, "hook never fired"
         for pc, length, loop in first:
@@ -203,7 +217,8 @@ class TestCodegen:
         # Second run on the same program: everything is served from the
         # per-program entry cache, so the hook stays silent.
         interp2 = Interpreter(program)
-        interp2.run_warm_jit(50, translate_hook=lambda *a: calls.append(a))
+        interp2.run_warm_jit(50, _warm_targets(),
+                             translate_hook=lambda *a: calls.append(a))
         assert calls == first
 
 
@@ -215,14 +230,16 @@ class TestDriverFallbacks:
     def test_halted_is_inert(self):
         program = _loop_program()
         interp = Interpreter(program)
-        interp.run_warm_jit(10 ** 6)
+        warm = _warm_targets()
+        interp.run_warm_jit(10 ** 6, warm)
         assert interp.halted
-        assert interp.run_warm_jit(100) == 0
+        assert interp.run_warm_jit(100, warm) == 0
 
     def test_nonpositive_budget(self):
         interp = Interpreter(_loop_program())
-        assert interp.run_warm_jit(0) == 0
-        assert interp.run_warm_jit(-5) == 0
+        warm = _warm_targets()
+        assert interp.run_warm_jit(0, warm) == 0
+        assert interp.run_warm_jit(-5, warm) == 0
 
     def test_unclean_regs_fall_back_to_interp(self):
         program = _loop_program()
@@ -230,7 +247,7 @@ class TestDriverFallbacks:
         interp.regs[5] = -3          # 64-bit-unclean: jit lane must punt
         ref = Interpreter(program)
         ref.regs[5] = -3
-        assert interp.run_warm_jit(50) == ref.run_warm(50)
+        assert interp.run_warm_jit(50, _warm_targets()) == ref.run_warm(50)
         assert interp.regs == ref.regs
         assert interp.pc == ref.pc
 
@@ -243,7 +260,7 @@ class TestDriverFallbacks:
         program = b.build()
         interp = Interpreter(program)
         ref = Interpreter(program)
-        assert interp.run_warm_jit(10) == ref.run_warm(10)
+        assert interp.run_warm_jit(10, _warm_targets()) == ref.run_warm(10)
         assert interp.regs == ref.regs
         assert interp.pc == ref.pc
 
@@ -253,7 +270,8 @@ class TestDriverFallbacks:
         for budget in (1, 2, 3, 4, 7, 50):
             interp = Interpreter(program)
             ref = Interpreter(program)
-            assert interp.run_warm_jit(budget) == ref.run_warm(budget)
+            assert (interp.run_warm_jit(budget, _warm_targets())
+                    == ref.run_warm(budget))
             assert interp.pc == ref.pc
             assert interp.regs == ref.regs
 
@@ -302,6 +320,13 @@ def _stats(cache):
             s.invalidations)
 
 
+def _assert_same_caches(ref, jit):
+    for lvl, a, b in (("l1d", ref.l1d, jit.l1d), ("l1i", ref.l1i, jit.l1i),
+                      ("llc", ref.shared.llc, jit.shared.llc)):
+        assert _l1d_cache_state(a) == _l1d_cache_state(b), lvl
+        assert _stats(a) == _stats(b), lvl
+
+
 class TestFlatWarmHelpers:
     """``warm_load_miss``/``warm_ifetch_line`` vs the reference
     ``warm_load``/``warm_ifetch`` over a random address stream long
@@ -332,10 +357,7 @@ class TestFlatWarmHelpers:
                     s.move_to_end(line)
                     l1d._mru_key = line
                     l1d._mru_line = ln
-        for lvl in ("l1d", "l1i", "llc"):
-            assert _l1d_cache_state(getattr(ref, lvl)) == \
-                _l1d_cache_state(getattr(jit, lvl)), lvl
-            assert _stats(getattr(ref, lvl)) == _stats(getattr(jit, lvl)), lvl
+        _assert_same_caches(ref, jit)
 
     def test_ifetch_path(self):
         ref, jit = self._pair()
@@ -358,10 +380,7 @@ class TestFlatWarmHelpers:
                     s.move_to_end(line)
                     l1i._mru_key = line
                     l1i._mru_line = ln
-        for lvl in ("l1d", "l1i", "llc"):
-            assert _l1d_cache_state(getattr(ref, lvl)) == \
-                _l1d_cache_state(getattr(jit, lvl)), lvl
-            assert _stats(getattr(ref, lvl)) == _stats(getattr(jit, lvl)), lvl
+        _assert_same_caches(ref, jit)
 
     def test_mixed_load_and_ifetch_share_llc(self):
         ref, jit = self._pair()
@@ -394,10 +413,7 @@ class TestFlatWarmHelpers:
                         s.move_to_end(line)
                         l1i._mru_key = line
                         l1i._mru_line = ln
-        for lvl in ("l1d", "l1i", "llc"):
-            assert _l1d_cache_state(getattr(ref, lvl)) == \
-                _l1d_cache_state(getattr(jit, lvl)), lvl
-            assert _stats(getattr(ref, lvl)) == _stats(getattr(jit, lvl)), lvl
+        _assert_same_caches(ref, jit)
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +422,10 @@ class TestFlatWarmHelpers:
 
 def test_warm_targets_drive_hierarchy_and_predictor():
     program = _loop_program()
-    cfg = build_named_config("baseline")
     interp = Interpreter(program)
-    hierarchy = MemoryHierarchy(cfg)
-    pred = BranchPredictor(cfg.branch)
-    prev: dict[int, bool] = {}
-    shift = ((hierarchy.l1i.line_bytes.bit_length() - 1)
-             - (blockjit.INST_BYTES.bit_length() - 1))
-    warm = WarmTargets(hierarchy=hierarchy, predictor=pred,
-                       prev_taken=prev, pc_line_shift=shift)
-    executed = interp.run_warm_jit(10 ** 6, warm=warm)
+    warm = _warm_targets()
+    executed = interp.run_warm_jit(10 ** 6, warm)
     assert interp.halted and executed == 202
-    assert hierarchy.l1i._mru_key != -1          # I-lines warmed
-    assert 2 in pred._btb                        # loop branch trained
-    assert prev == {2: False}                    # final not-taken recorded
+    assert warm.hierarchy.l1i._mru_key != -1     # I-lines warmed
+    assert 2 in warm.predictor._btb              # loop branch trained
+    assert warm.prev_taken == {2: False}         # final not-taken recorded

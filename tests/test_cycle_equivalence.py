@@ -143,7 +143,6 @@ def test_default_hierarchy_routes_through_the_port_graph():
     assert isinstance(proc.hierarchy.port, DirectLink)
     assert isinstance(proc.hierarchy.shared, SharedLLC)
     assert proc.hierarchy.port.endpoint is proc.hierarchy.shared
-    assert proc.hierarchy.llc is proc.hierarchy.shared.llc
 
 
 @pytest.mark.parametrize("config_name", ("baseline", "rab_cc"))

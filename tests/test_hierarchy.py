@@ -1,7 +1,7 @@
 """Memory hierarchy integration tests: levels, inclusion, MSHRs."""
 
 from repro.config import default_system, make_config
-from repro.memory import MemoryHierarchy
+from repro.memory import MemoryHierarchy, SharedLLC
 
 
 def make_hierarchy(prefetch=False):
@@ -14,8 +14,8 @@ class TestLoadPath:
         h = make_hierarchy()
         result = h.load(0x10000, now=0)
         assert result.level == "DRAM"
-        assert result.done_cycle > h.l1d.latency + h.llc.latency
-        assert h.llc.stats.misses == 1
+        assert result.done_cycle > h.l1d.latency + h.shared.llc.latency
+        assert h.shared.llc.stats.misses == 1
 
     def test_warm_load_hits_l1(self):
         h = make_hierarchy()
@@ -50,17 +50,17 @@ class TestLoadPath:
 class TestInclusion:
     def test_llc_eviction_back_invalidates_l1(self):
         h = make_hierarchy()
-        llc_lines = h.llc.num_sets * h.llc.assoc
+        llc_lines = h.shared.llc.num_sets * h.shared.llc.assoc
         target = 0x40000000
         h.load(target, now=0)
         line = h.line_of(target)
         assert h.l1d.probe(line)
         # Fill enough conflicting lines to evict the target from the LLC.
-        set_index = line % h.llc.num_sets
-        for k in range(1, h.llc.assoc + 2):
-            conflict = line + k * h.llc.num_sets
-            h.llc.fill(conflict, 0)
-        assert not h.llc.probe(line)
+        set_index = line % h.shared.llc.num_sets
+        for k in range(1, h.shared.llc.assoc + 2):
+            conflict = line + k * h.shared.llc.num_sets
+            h.shared.llc.fill(conflict, 0)
+        assert not h.shared.llc.probe(line)
         assert not h.l1d.probe(line)
         del llc_lines, set_index
 
@@ -79,7 +79,7 @@ class TestMshrBackpressure:
     def test_demand_gets_reserved_mshrs(self):
         h = make_hierarchy()
         mshrs = h.config.llc.mshrs
-        reserve = h._SPECULATIVE_RESERVE
+        reserve = SharedLLC._SPECULATIVE_RESERVE
         for i in range(mshrs - reserve):
             h.load(i * 64 + (1 << 24), now=0, kind="runahead")
         # Speculative is now rejected, demand still admitted.
@@ -99,7 +99,7 @@ class TestMshrBackpressure:
         slot for speculative kinds; the request must bounce forward (not
         IndexError on the empty fill heap — found by the config fuzzer)."""
         cfg = make_config()
-        cfg.llc.mshrs = MemoryHierarchy._SPECULATIVE_RESERVE
+        cfg.llc.mshrs = SharedLLC._SPECULATIVE_RESERVE
         h = MemoryHierarchy(cfg)
         result = h.load(1 << 24, now=7, kind="runahead")
         assert result.level == "RETRY"
@@ -110,10 +110,10 @@ class TestMshrBackpressure:
     def test_mshr_occupancy_is_non_mutating(self):
         h = make_hierarchy()
         done = h.load(1 << 24, now=0).done_cycle
-        heap_before = list(h._fills)
+        heap_before = list(h.shared._fills)
         assert h.mshr_occupancy(0) == 1
         assert h.mshr_occupancy(done) == 0     # completed at `done`
-        assert h._fills == heap_before          # observer left the heap alone
+        assert h.shared._fills == heap_before   # observer left the heap alone
         assert h.mshr_occupancy(0) == 1         # ...so it can re-read the past
 
 
@@ -135,7 +135,7 @@ class TestStoresAndIfetch:
         h = make_hierarchy()
         done = h.ifetch(0x100, now=0)
         assert done > 0
-        assert h.ifetch_llc_misses == 1
+        assert h._acct.ifetch_llc_misses == 1
         done2 = h.ifetch(0x100, now=done + 1)
         assert done2 == done + 1 + h.l1i.latency
 
@@ -146,7 +146,7 @@ class TestWarmup:
         h.warm_load(0x9000)
         result = h.load(0x9000, now=0)
         assert result.level == "L1"
-        assert h.llc.stats.misses == 0
+        assert h.shared.llc.stats.misses == 0
 
     def test_warm_ifetch(self):
         h = make_hierarchy()
@@ -162,10 +162,10 @@ class TestPrefetcherIntegration:
         for i in range(8):
             result = h.load(base + i * 64, now=now, kind="demand")
             now = result.done_cycle + 1
-        assert h.prefetcher.stats.issued > 0
+        assert h.shared.prefetcher.stats.issued > 0
         # Lines ahead of the stream should be resident or in flight.
         ahead = h.line_of(base + 9 * 64)
-        assert h.llc.probe(ahead)
+        assert h.shared.llc.probe(ahead)
 
     def test_prefetched_lines_marked(self):
         h = make_hierarchy(prefetch=True)
@@ -173,5 +173,5 @@ class TestPrefetcherIntegration:
         now = 0
         for i in range(8):
             now = h.load(base + i * 64, now=now).done_cycle + 1
-        ahead = h.llc.lookup(h.line_of(base + 9 * 64), touch=False)
+        ahead = h.shared.llc.lookup(h.line_of(base + 9 * 64), touch=False)
         assert ahead is not None and ahead.prefetched

@@ -105,9 +105,9 @@ def test_untraced_processor_carries_no_obs_attributes():
         (proc.fetch, ("redirect",)),
         (proc.chain_cache, ("lookup",)),
         (proc.hierarchy, ("_issue_prefetches",)),
-        (proc.hierarchy.controller, ("request",)),
-        (proc.hierarchy.prefetcher, ("record_useful",
-                                     "record_unused_eviction", "_feedback")),
+        (proc.hierarchy.shared.controller, ("request",)),
+        (proc.hierarchy.shared.prefetcher,
+         ("record_useful", "record_unused_eviction", "_feedback")),
     ]
     for obj, names in shadow_points:
         for name in names:
@@ -130,8 +130,8 @@ def test_detach_restores_untraced_state():
     for name in ("_step", "_exit_runahead", "_generate_chain",
                  "_enter_traditional", "_enter_rab", "_ff_translate_hook"):
         assert name not in vars(proc)
-    assert "request" not in vars(proc.hierarchy.controller)
-    assert "_feedback" not in vars(proc.hierarchy.prefetcher)
+    assert "request" not in vars(proc.hierarchy.shared.controller)
+    assert "_feedback" not in vars(proc.hierarchy.shared.prefetcher)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,7 @@ def test_fdp_window_seam():
                      memory=built.memory, init_regs=built.init_regs)
     tracer = Tracer(kinds=["fdp_window"])
     tracer.attach(proc)
-    prefetcher = proc.hierarchy.prefetcher
+    prefetcher = proc.hierarchy.shared.prefetcher
     # A closed window with perfect accuracy: throttle up.
     prefetcher._interval_issued = prefetcher.config.fdp_interval
     prefetcher._interval_useful = prefetcher.config.fdp_interval
