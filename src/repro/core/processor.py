@@ -354,10 +354,10 @@ class Processor:
         self.ff_instructions += executed
         return executed
 
-    def warm_up(self, instructions: int, lane: Optional[str] = None) -> int:
+    def warm_up(self, instructions: int) -> int:
         """Fast-forward functionally before (or between) timed runs —
         kept as the historical name for the pre-run warm-up phase."""
-        return self.fast_forward(instructions, lane=lane)
+        return self.fast_forward(instructions)
 
     # ------------------------------------------------------------------
     # Warm-state snapshot (the lane gate's fingerprint input)

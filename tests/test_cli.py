@@ -173,9 +173,11 @@ _REMOTE_FLAG = "--" + "remote"
     ["serve"],
     ["suite", _REMOTE_FLAG, "http://127.0.0.1:8077"],
     ["sweep", "buffer-size", _REMOTE_FLAG, "http://127.0.0.1:8077"],
+    ["bench-throughput"],
 ])
-def test_removed_remote_surface_rejected(argv):
+def test_removed_cli_surface_rejected(argv):
     # Cells are only ever simulated locally: no service, no remote flag.
+    # Simulator throughput is measured by perfbench/, not a subcommand.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
