@@ -20,7 +20,6 @@ class PhysicalRegisterFile:
             raise ValueError("need more physical than architectural registers")
         self.num_regs = num_regs
         self.value = [0] * num_regs
-        self.ready = bytearray([0]) * 1
         self.ready = bytearray(num_regs)
         self.poison = bytearray(num_regs)
         self.producer_seq = [-1] * num_regs

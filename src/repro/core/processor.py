@@ -103,7 +103,7 @@ class Processor:
         self.store_queue = StoreQueue(core.store_queue_size)
         self.load_queue_used = 0
         self.rs_used = 0
-        self.decode_queue: deque[tuple[int, FetchedUop]] = deque()
+        self.decode_queue: deque[FetchedUop] = deque()
         self.decode_queue_cap = 4 * core.width
 
         self.events: list[tuple[int, int, InFlightUop]] = []
@@ -155,7 +155,6 @@ class Processor:
         self._lat_agu = core.latency_agu
         self._lat_branch = core.latency_branch
         self._l1d_latency = config.l1d.latency
-        self._fetch_to_rename = core.fetch_to_rename_cycles
         self._redirect_penalty = core.branch_mispredict_redirect
         self._ra_mode_off = ra.mode is RunaheadMode.NONE
         self._min_interval = ra.min_interval_cycles
@@ -262,7 +261,7 @@ class Processor:
         elif self.decode_queue:
             # ROB empty => every branch older than the decode queue has
             # resolved and redirected, so decoded uops are correct-path.
-            arch_pc = self.decode_queue[0][1].pc
+            arch_pc = self.decode_queue[0].pc
         else:
             arch_pc = self.fetch.pc
         values = self.rename.arch_values()
@@ -459,13 +458,13 @@ class Processor:
         queue = self.decode_queue
         if mode == "rab":
             if queue:
-                if queue[0][0] <= now:
-                    self._dispatch_from_decode(now)
+                if queue[0].ready_at <= now:
+                    self._rename_dispatch(now, False)
             elif now >= self._rab_start_cycle:
-                self._dispatch_from_buffer(now)
+                self._rename_dispatch(now, True)
         else:
-            if queue and queue[0][0] <= now:
-                self._dispatch_from_decode(now)
+            if queue and queue[0].ready_at <= now:
+                self._rename_dispatch(now, False)
             if len(queue) < self.decode_queue_cap:
                 fetch = self.fetch
                 if (fetch.halted or fetch.wait_for_redirect
@@ -489,7 +488,7 @@ class Processor:
                     best = t
             queue = self.decode_queue
             if queue:
-                t = queue[0][0]
+                t = queue[0].ready_at
                 if best is None or t < best:
                     best = t
             fetch = self.fetch
@@ -534,48 +533,54 @@ class Processor:
     # ------------------------------------------------------------------
 
     def _writeback(self, now: int) -> None:
+        """Complete every uop whose event is due: write the PRF, wake
+        waiters, release deferred loads and resolve branches."""
         events = self.events
         heappop = heapq.heappop
+        prf = self.prf
+        value = prf.value
+        ready_bits = prf.ready
+        poison = prf.poison
+        waiters = self.waiters
+        ready = self.ready
+        tracking = self._tracking
+        completed = 0
+        writes = 0
         while events and events[0][0] <= now:
             uop = heappop(events)[2]
             if uop.squashed or uop.completed:
                 continue
-            self._complete(uop, now)
-
-    def _complete(self, uop: InFlightUop, now: int) -> None:
-        uop.completed = True
-        dest_phys = uop.dest_phys
-        if dest_phys is not None:
-            prf = self.prf
-            prf.value[dest_phys] = uop.value
-            prf.ready[dest_phys] = 1
-            prf.poison[dest_phys] = 1 if uop.poisoned else 0
-            self._ev_prf_write += 1
-            waiters = self.waiters.pop(dest_phys, None)
-            if waiters:
-                ready = self.ready
-                for waiter in waiters:
-                    if waiter.squashed:
-                        continue
-                    waiter.waiting -= 1
-                    if waiter.waiting == 0:
-                        ready.append(waiter)
-        self._ev_rs_wakeup += 1
-        if uop.inst.is_store:
-            # Address now known: deferred loads may proceed.
-            if self.deferred_loads:
-                self.ready.extend(
-                    u for u in self.deferred_loads if not u.squashed
-                )
+            uop.completed = True
+            completed += 1
+            dest_phys = uop.dest_phys
+            if dest_phys is not None:
+                value[dest_phys] = uop.value
+                ready_bits[dest_phys] = 1
+                poison[dest_phys] = 1 if uop.poisoned else 0
+                writes += 1
+                woken = waiters.pop(dest_phys, None)
+                if woken:
+                    for waiter in woken:
+                        if waiter.squashed:
+                            continue
+                        waiter.waiting -= 1
+                        if waiter.waiting == 0:
+                            ready.append(waiter)
+            inst = uop.inst
+            # A store's address is now known: deferred loads may proceed.
+            # (_resolve_branch may rebind deferred_loads, so no local.)
+            if inst.is_store and self.deferred_loads:
+                ready.extend(u for u in self.deferred_loads if not u.squashed)
                 self.deferred_loads.clear()
-        if self._tracking:
-            self.tracker.note_exec(
-                uop.seq, uop.pc, uop.producer_seqs,
-                uop.inst.is_load and uop.level == "DRAM",
-                uop.runahead,
-            )
-        if uop.inst.is_branch:
-            self._resolve_branch(uop, now)
+            if tracking:
+                self.tracker.note_exec(
+                    uop.seq, uop.pc, uop.producer_seqs,
+                    inst.is_load and uop.level == "DRAM", uop.runahead,
+                )
+            if inst.is_branch:
+                self._resolve_branch(uop, now)
+        self._ev_rs_wakeup += completed
+        self._ev_prf_write += writes
 
     def _resolve_branch(self, uop: InFlightUop, now: int) -> None:
         inst = uop.inst
@@ -586,7 +591,6 @@ class Processor:
         if inst.is_conditional_branch:
             self.stats.cond_branches += 1
         mispredicted = uop.actual_next_pc != uop.predicted_next_pc
-        uop.mispredicted = mispredicted
         self.predictor.update(
             uop.pc, inst, uop.taken, uop.actual_next_pc, mispredicted,
             ghr=uop.snapshot.ghr if uop.snapshot is not None else None,
@@ -636,6 +640,9 @@ class Processor:
         rename = self.rename
         commit_rat = rename.commit_rat
         free_list = rename.free_list
+        commit_hook = self.commit_hook
+        retired = 0
+        loads = 0
         for _ in range(self.width):
             if not rob:
                 break
@@ -643,6 +650,7 @@ class Processor:
             if not uop.completed:
                 break
             rob.popleft()
+            retired += 1
             if uop.dest_phys is not None:
                 if uop.old_phys is not None:
                     free_list.append(uop.old_phys)
@@ -654,21 +662,26 @@ class Processor:
                 self.hierarchy.store_commit(uop.mem_addr, now)
                 self.store_queue.pop_oldest(uop)
             elif inst.is_load:
-                self.load_queue_used -= 1
-            self._ev_rob_read += 1
+                loads += 1
             self.committed += 1
-            self._last_progress = now
-            if self.commit_hook is not None:
-                self.commit_hook(uop, now)
+            if commit_hook is not None:
+                commit_hook(uop, now)
             if inst.is_halt:
                 self.halted = True
                 break
+        if retired:
+            self.load_queue_used -= loads
+            self._ev_rob_read += retired
+            self._last_progress = now
 
     def _pseudo_retire(self, now: int) -> None:
         """Runahead retirement: drain the ROB without architectural effect;
         stores feed the runahead cache."""
         rob = self.rob
-        rename = self.rename
+        free_list = self.rename.free_list
+        retired = 0
+        from_rab = 0
+        loads = 0
         for _ in range(self.width):
             if not rob:
                 break
@@ -685,8 +698,9 @@ class Processor:
                 else:
                     break
             rob.popleft()
+            retired += 1
             if uop.dest_phys is not None and uop.old_phys is not None:
-                rename.free(uop.old_phys)
+                free_list.append(uop.old_phys)
             inst = uop.inst
             if inst.is_store:
                 if (not uop.poisoned and uop.addr_known
@@ -696,11 +710,14 @@ class Processor:
                     self._ev_runahead_cache += 1
                 self.store_queue.pop_oldest(uop)
             elif inst.is_load:
-                self.load_queue_used -= 1
-            self.stats.runahead_pseudo_retired += 1
-            self._interval_pseudo_retired += 1
-            if not uop.from_rab:
-                self._interval_pseudo_retired_arch += 1
+                loads += 1
+            if uop.from_rab:
+                from_rab += 1
+        if retired:
+            self.load_queue_used -= loads
+            self.stats.runahead_pseudo_retired += retired
+            self._interval_pseudo_retired += retired
+            self._interval_pseudo_retired_arch += retired - from_rab
             self._last_progress = now
 
     # ------------------------------------------------------------------
@@ -729,13 +746,13 @@ class Processor:
         head = rob[0]
         if head.completed or not head.inst.is_load or head.level != "DRAM":
             return
+        if head.seq == self._entry_declined_seq:
+            return
         if not self._window_stalled():
             return
         if head.merged:
             # The line is already on its way (e.g. an in-flight prefetch):
             # the remaining stall is not worth a runahead interval.
-            return
-        if head.seq == self._entry_declined_seq:
             return
         ra = self.config.runahead
         remaining = head.done_cycle - now
@@ -942,29 +959,43 @@ class Processor:
     # ------------------------------------------------------------------
 
     def _issue(self, now: int) -> None:
+        """Issue and execute up to ``width`` ready uops within the port
+        budgets; a load that must wait keeps its slot but stays unissued."""
         ready = self.ready
-        if not ready:
-            return
         budget = self.width
         # Per-port budgets, indexed by the statically decoded port class.
         ports = list(self._port_limits)
         skipped: Optional[list[InFlightUop]] = None
+        prf = self.prf
+        value = prf.value
+        poison = prf.poison
+        events = self.events
+        heappush = heapq.heappush
+        in_runahead = self._in_ra
+        lat_agu = self._lat_agu
+        lat_by_cls = self._lat_by_cls
+        ev_fu = self._ev_fu
+        issued = 0
+        prf_reads = 0
+        agu = 0
+        alu = 0
         while ready and budget > 0:
             uop = ready.popleft()
             if uop.squashed:
                 continue
+            inst = uop.inst
             if uop.issued:
-                if (uop.inst.is_store and uop.addr_known
+                if (inst.is_store and uop.addr_known
                         and not uop.data_known and not uop.completed):
                     # STD: the store's data operand has arrived.
-                    data, data_poison = self._read_operand(uop.src2_phys)
-                    uop.store_data = data
+                    s2 = uop.src2_phys
+                    uop.store_data = value[s2]
                     uop.data_known = True
-                    if data_poison and self._in_ra:
+                    if poison[s2] and in_runahead:
                         uop.poisoned = True
-                    heapq.heappush(self.events, (now + 1, uop.seq, uop))
+                    heappush(events, (now + 1, uop.seq, uop))
                 continue
-            port_cls = uop.inst.port_class
+            port_cls = inst.port_class
             if ports[port_cls] <= 0:
                 if skipped is None:
                     skipped = [uop]
@@ -973,121 +1004,115 @@ class Processor:
                 continue
             ports[port_cls] -= 1
             budget -= 1
-            if self._execute(uop, now):
-                uop.issued = True
-                self.rs_used -= 1
-                self._ev_issue += 1
+
+            cls = inst.cls_idx
+            s1 = uop.src1_phys
+            s2 = uop.src2_phys
+            if s1 is not None:
+                a = value[s1]
+                a_poison = poison[s1]
+                nsrc = 1
+            else:
+                a = 0
+                a_poison = 0
+                nsrc = 0
+            if s2 is not None:
+                b = value[s2]
+                b_poison = poison[s2]
+                nsrc += 1
+            else:
+                b = 0
+                b_poison = 0
+            poisoned = in_runahead and (a_poison or b_poison) != 0
+
+            if cls == CLS_LOAD:
+                if poisoned:
+                    # INV load: no memory access (address is garbage).
+                    uop.poisoned = True
+                    uop.value = 0
+                    self.stats.inv_ops += 1
+                    done = now + lat_agu + 1
+                else:
+                    done = self._execute_load(uop, a, now)
+                    if done < 0:
+                        continue
+                agu += 1
+            elif cls == CLS_STORE:
+                agu += 1
+                if a_poison and in_runahead:
+                    # INV store: the address is garbage, drop it.
+                    uop.poisoned = True
+                    self.stats.inv_ops += 1
+                    done = now + lat_agu
+                else:
+                    uop.mem_addr = (a + inst.imm) & MASK64
+                    uop.addr_known = True
+                    if self.deferred_loads:
+                        # Disambiguation: blocked loads may re-try now.
+                        ready.extend(
+                            u for u in self.deferred_loads if not u.squashed
+                        )
+                        self.deferred_loads.clear()
+                    if s2 is None or prf.ready[s2]:
+                        uop.store_data = b
+                        uop.data_known = True
+                        if b_poison and in_runahead:
+                            uop.poisoned = True
+                        done = now + lat_agu
+                    else:
+                        # STA done; STD waits for the data operand.
+                        uop.waiting = 1
+                        waiters = self.waiters.get(s2)
+                        if waiters is None:
+                            self.waiters[s2] = [uop]
+                        else:
+                            waiters.append(uop)
+                        uop.done_cycle = 0
+                        uop.issued = True
+                        issued += 1
+                        continue
+            elif cls == CLS_BRANCH:
+                uop.poisoned = poisoned
+                if inst.is_conditional_branch:
+                    uop.taken = taken = (False if poisoned
+                                         else inst.taken_fn(inst, a, b))
+                else:
+                    uop.taken = taken = True
+                if inst.is_call:
+                    uop.value = uop.pc + 1
+                if not poisoned:
+                    # Inline branch_target: indirect targets come from rs1,
+                    # taken branches from the static target, else fall
+                    # through.
+                    if inst.is_indirect:
+                        uop.actual_next_pc = a & MASK64
+                    elif taken:
+                        uop.actual_next_pc = inst.target
+                    else:
+                        uop.actual_next_pc = uop.pc + 1
+                done = now + self._lat_branch
+                alu += 1
+            elif cls >= CLS_NOP:       # NOP and the dispatch-only CLS_HALT
+                done = now + 1
+            else:
+                uop.poisoned = poisoned
+                uop.value = 0 if poisoned else inst.alu_fn(inst, a, b)
+                done = now + lat_by_cls[cls]
+                ev_fu[cls] += 1
+
+            prf_reads += nsrc
+            uop.done_cycle = done
+            heappush(events, (done, uop.seq, uop))
+            uop.issued = True
+            issued += 1
         if skipped is not None:
             for uop in reversed(skipped):
                 ready.appendleft(uop)
-
-    def _read_operand(self, phys: Optional[int]) -> tuple[int, bool]:
-        if phys is None:
-            return 0, False
-        prf = self.prf
-        return prf.value[phys], bool(prf.poison[phys])
-
-    def _execute(self, uop: InFlightUop, now: int) -> bool:
-        """Functionally execute and schedule completion.  Returns False if
-        the uop must be re-tried later (memory disambiguation wait)."""
-        inst = uop.inst
-        cls = inst.cls_idx
-        prf = self.prf
-        value = prf.value
-        poison = prf.poison
-        s1 = uop.src1_phys
-        s2 = uop.src2_phys
-        if s1 is not None:
-            a = value[s1]
-            a_poison = poison[s1]
-            nsrc = 1
-        else:
-            a = 0
-            a_poison = 0
-            nsrc = 0
-        if s2 is not None:
-            b = value[s2]
-            b_poison = poison[s2]
-            nsrc += 1
-        else:
-            b = 0
-            b_poison = 0
-        in_runahead = self._in_ra
-        poisoned = bool(a_poison or b_poison) and in_runahead
-
-        if cls == CLS_LOAD:
-            if poisoned:
-                # INV load: no memory access (address is garbage).
-                uop.poisoned = True
-                uop.value = 0
-                self.stats.inv_ops += 1
-                done = now + self._lat_agu + 1
-            else:
-                done = self._execute_load(uop, a, now)
-                if done < 0:
-                    return False
-            self._ev_agu += 1
-        elif cls == CLS_STORE:
-            self._ev_agu += 1
-            if a_poison and in_runahead:
-                # INV store: the address is garbage, drop it.
-                uop.poisoned = True
-                self.stats.inv_ops += 1
-                done = now + self._lat_agu
-            else:
-                uop.mem_addr = (a + inst.imm) & MASK64
-                uop.addr_known = True
-                if self.deferred_loads:
-                    # Disambiguation: blocked loads may re-try now.
-                    self.ready.extend(
-                        u for u in self.deferred_loads if not u.squashed
-                    )
-                    self.deferred_loads.clear()
-                if s2 is None or prf.ready[s2]:
-                    uop.store_data = b
-                    uop.data_known = True
-                    if b_poison and in_runahead:
-                        uop.poisoned = True
-                    done = now + self._lat_agu
-                else:
-                    # STA done; STD waits for the data operand.
-                    uop.waiting = 1
-                    self.waiters.setdefault(s2, []).append(uop)
-                    uop.done_cycle = 0
-                    return True
-        elif cls == CLS_BRANCH:
-            uop.poisoned = poisoned
-            if inst.is_conditional_branch:
-                uop.taken = taken = (False if poisoned
-                                     else inst.taken_fn(inst, a, b))
-            else:
-                uop.taken = taken = True
-            if inst.is_call:
-                uop.value = uop.pc + 1
-            if not poisoned:
-                # Inline branch_target: indirect targets come from rs1,
-                # taken branches from the static target, else fall through.
-                if inst.is_indirect:
-                    uop.actual_next_pc = a & MASK64
-                elif taken:
-                    uop.actual_next_pc = inst.target
-                else:
-                    uop.actual_next_pc = uop.pc + 1
-            done = now + self._lat_branch
-            self._ev_alu += 1
-        elif cls >= CLS_NOP:       # NOP and the dispatch-only CLS_HALT
-            done = now + 1
-        else:
-            uop.poisoned = poisoned
-            uop.value = 0 if poisoned else inst.alu_fn(inst, a, b)
-            done = now + self._lat_by_cls[cls]
-            self._ev_fu[cls] += 1
-
-        if nsrc:
-            self._ev_prf_read += nsrc
-        uop.done_cycle = done
-        heapq.heappush(self.events, (done, uop.seq, uop))
-        return True
+        self.rs_used -= issued
+        self._ev_issue += issued
+        self._ev_prf_read += prf_reads
+        self._ev_agu += agu
+        self._ev_alu += alu
 
     def _execute_load(self, uop: InFlightUop, base: int, now: int) -> int:
         """Returns the completion cycle, or -1 to defer (disambiguation)."""
@@ -1096,7 +1121,6 @@ class Processor:
         uop.addr_known = True
         result, store = self.store_queue.search(addr >> 3, uop.seq)
         if result is ForwardResult.WAIT:
-            uop.deferred = True
             self.deferred_loads.append(uop)
             return -1
         t_access = now + self._lat_agu
@@ -1105,7 +1129,6 @@ class Processor:
             assert store is not None
             uop.value = store.store_data
             uop.poisoned = store.poisoned and in_runahead
-            uop.forwarded = True
             return t_access + self._l1d_latency
         if in_runahead and self._ra_cache_enabled:
             cached = self.runahead_cache.read(addr)
@@ -1152,128 +1175,122 @@ class Processor:
     # Rename / dispatch
     # ------------------------------------------------------------------
 
-    def _resources_available(self, inst) -> bool:
-        if len(self.rob) >= self._rob_size:
-            return False
-        if self.rs_used >= self._rs_size:
-            return False
-        if inst.dest_reg is not None and not self.rename.free_list:
-            return False
-        if inst.is_load and self.load_queue_used >= self._lq_size:
-            return False
-        if inst.is_store and self.store_queue.full():
-            return False
-        return True
-
-    def _rename_dispatch(self, pc: int, inst, fetched: Optional[FetchedUop],
-                         now: int, from_rab: bool) -> InFlightUop:
+    def _rename_dispatch(self, now: int, from_rab: bool) -> None:
+        """Rename one cycle's group in order from the decode queue or the
+        runahead buffer, stopping at the first uop that lacks a slot."""
+        rob = self.rob
+        # Every uop takes one ROB and one RS entry, so those two bound the
+        # group up front; the other slots depend on the uop.
+        limit = min(self.width, self._rob_size - len(rob),
+                    self._rs_size - self.rs_used)
+        if limit <= 0:
+            return
         rename = self.rename
-        prf = self.prf
-        uop = InFlightUop(self.seq, pc, inst)
-        self.seq += 1
-        uop.runahead = self._in_ra
-        uop.from_rab = from_rab
-
         rat = rename.rat
+        free_list = rename.free_list
+        prf = self.prf
         ready_bits = prf.ready
+        poison = prf.poison
+        producer_seq = prf.producer_seq
         waiters = self.waiters
-        src1 = inst.src1
-        src2 = inst.src2
+        ready = self.ready
+        stores = self.store_queue.entries
+        sq_room = self.store_queue.capacity - len(stores)
+        lq_size = self._lq_size
+        lq_used = self.load_queue_used
         tracking = self._tracking
-        waiting = 0
-        producers = [] if tracking else None
-        if src1 is not None:
-            phys = rat[src1]
-            uop.src1_phys = phys
+        runahead = self._in_ra
+        rab = self.rab
+        queue = self.decode_queue
+        first_seq = seq = self.seq
+        for _ in range(limit):
+            if from_rab:
+                source = rab.peek()
+            else:
+                if not queue:
+                    break
+                source = queue[0]
+                if source.ready_at > now:
+                    break
+            inst = source.inst
+            dest = inst.dest_reg
+            is_store = inst.is_store
+            if ((dest is not None and not free_list)
+                    or (inst.is_load and lq_used >= lq_size)
+                    or (is_store and sq_room <= 0)):
+                break
+            if from_rab:
+                rab.take()
+            else:
+                queue.popleft()
+            uop = InFlightUop(seq, source.pc, inst, runahead, from_rab)
+            if inst.is_branch and not from_rab:
+                uop.predicted_next_pc = source.predicted_next_pc
+                uop.snapshot = source.snapshot
+
+            src1 = inst.src1
+            src2 = inst.src2
+            waiting = 0
+            if src1 is not None:
+                phys = rat[src1]
+                uop.src1_phys = phys
+                if not ready_bits[phys]:
+                    waiting = 1
+                    pending = waiters.get(phys)
+                    if pending is None:
+                        waiters[phys] = [uop]
+                    else:
+                        pending.append(uop)
+            if src2 is not None:
+                phys = rat[src2]
+                uop.src2_phys = phys
+                # STA/STD split: a store's data operand does not gate
+                # issue — the address computes as soon as rs1 is ready;
+                # the data is picked up when it arrives (see _issue).
+                if not ready_bits[phys] and not is_store:
+                    waiting += 1
+                    pending = waiters.get(phys)
+                    if pending is None:
+                        waiters[phys] = [uop]
+                    else:
+                        pending.append(uop)
             if tracking:
-                producers.append(prf.producer_seq[phys])
-            if not ready_bits[phys]:
-                waiting = 1
-                waiters.setdefault(phys, []).append(uop)
-        if src2 is not None:
-            phys = rat[src2]
-            uop.src2_phys = phys
-            if tracking:
-                producers.append(prf.producer_seq[phys])
-            # STA/STD split: a store's data operand does not gate issue —
-            # the address computes as soon as rs1 is ready; the data is
-            # picked up when it arrives (see _issue / _execute).
-            if not ready_bits[phys] and not inst.is_store:
-                waiting += 1
-                waiters.setdefault(phys, []).append(uop)
-        if tracking:
-            uop.producer_seqs = tuple(producers)
+                uop.producer_seqs = tuple(
+                    producer_seq[phys] for phys in (uop.src1_phys,
+                                                    uop.src2_phys)
+                    if phys is not None)
 
-        dest = inst.dest_reg
-        if dest is not None:
-            new_phys = rename.free_list.pop()
-            uop.dest_arch = dest
-            uop.dest_phys = new_phys
-            uop.old_phys = rat[dest]
-            rat[dest] = new_phys
-            # Inlined prf.mark_pending(new_phys, uop.seq).
-            ready_bits[new_phys] = 0
-            prf.poison[new_phys] = 0
-            prf.producer_seq[new_phys] = uop.seq
+            if dest is not None:
+                new_phys = free_list.pop()
+                uop.dest_arch = dest
+                uop.dest_phys = new_phys
+                uop.old_phys = rat[dest]
+                rat[dest] = new_phys
+                # Inlined prf.mark_pending(new_phys, seq).
+                ready_bits[new_phys] = 0
+                poison[new_phys] = 0
+                producer_seq[new_phys] = seq
 
-        if fetched is not None:
-            uop.predicted_next_pc = fetched.predicted_next_pc
-            uop.predicted_taken = fetched.predicted_taken
-            uop.snapshot = fetched.snapshot
-
-        uop.waiting = waiting
-        self.rob.append(uop)
-        if inst.is_load:
-            self.load_queue_used += 1
-        elif inst.is_store:
-            self.store_queue.push(uop)
-        if waiting == 0:
-            self.ready.append(uop)
-        self.rs_used += 1
+            uop.waiting = waiting
+            rob.append(uop)
+            if is_store:
+                stores.append(uop)
+                sq_room -= 1
+            elif inst.is_load:
+                lq_used += 1
+            if waiting == 0:
+                ready.append(uop)
+            seq += 1
+        dispatched = seq - first_seq
+        self.seq = seq
+        self.rs_used += dispatched
+        self.load_queue_used = lq_used
         # One counter stands in for every always-equal per-dispatch count
         # (rename, rs_dispatch, rob_write, dispatched_uops/total); they
         # are fanned back out in _finalize_stats.
-        self._ev_rename += 1
-        return uop
-
-    def _dispatch_from_decode(self, now: int) -> None:
-        queue = self.decode_queue
-        rob = self.rob
-        free_list = self.rename.free_list
-        store_queue = self.store_queue
-        for _ in range(self.width):
-            if not queue:
-                break
-            entry = queue[0]
-            if entry[0] > now:
-                break
-            fetched = entry[1]
-            inst = fetched.inst
-            # Inlined _resources_available (kept in sync with the method,
-            # which the buffer dispatcher still uses).
-            if (len(rob) >= self._rob_size
-                    or self.rs_used >= self._rs_size
-                    or (inst.dest_reg is not None and not free_list)
-                    or (inst.is_load
-                        and self.load_queue_used >= self._lq_size)
-                    or (inst.is_store and store_queue.full())):
-                break
-            queue.popleft()
-            self._rename_dispatch(fetched.pc, inst, fetched, now,
-                                  from_rab=False)
-
-    def _dispatch_from_buffer(self, now: int) -> None:
-        rab = self.rab
-        if not rab.active:
-            return
-        for _ in range(self.width):
-            chain_uop = rab.peek()
-            if not self._resources_available(chain_uop.inst):
-                break
-            rab.take()
-            self._rename_dispatch(chain_uop.pc, chain_uop.inst, None, now,
-                                  from_rab=True)
-            self._ev_rab_read += 1
+        self._ev_rename += dispatched
+        if from_rab:
+            self._ev_rab_read += dispatched
 
     # ------------------------------------------------------------------
     # Fetch
@@ -1288,13 +1305,10 @@ class Processor:
             if self.mode == "normal":
                 self.stats.frontend_idle_cycles += 1
             return
-        ready_at = now + self._fetch_to_rename
         n = len(group)
         self._ev_fetch += n
         self._ev_decode += n
-        append = self.decode_queue.append
-        for fetched in group:
-            append((ready_at, fetched))
+        self.decode_queue.extend(group)
 
     # ------------------------------------------------------------------
     # Final statistics

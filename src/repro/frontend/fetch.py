@@ -22,19 +22,21 @@ INST_BYTES = 4
 
 
 class FetchedUop:
-    """One fetched micro-op plus its control-flow prediction."""
+    """One fetched micro-op plus its control-flow prediction and the cycle
+    it reaches rename (its decode-queue entry's ready cycle)."""
 
     __slots__ = ("pc", "inst", "predicted_next_pc", "predicted_taken",
-                 "snapshot")
+                 "snapshot", "ready_at")
 
     def __init__(self, pc: int, inst, predicted_next_pc: int,
-                 predicted_taken: bool, snapshot: Optional[PredictorSnapshot]
-                 ) -> None:
+                 predicted_taken: bool, snapshot: Optional[PredictorSnapshot],
+                 ready_at: int) -> None:
         self.pc = pc
         self.inst = inst
         self.predicted_next_pc = predicted_next_pc
         self.predicted_taken = predicted_taken
         self.snapshot = snapshot
+        self.ready_at = ready_at
 
 
 class FetchUnit:
@@ -47,6 +49,7 @@ class FetchUnit:
         self.predictor = predictor
         self.hierarchy = hierarchy
         self.width = config.width
+        self._rename_delay = config.fetch_to_rename_cycles
         self.pc = program.entry
         self.stalled_until = 0       # I-cache miss / redirect penalty
         self.wait_for_redirect = False  # unknown indirect target
@@ -121,38 +124,40 @@ class FetchUnit:
             budget = self.width
         group: list[FetchedUop] = []
         append = group.append
+        ready_at = now + self._rename_delay
         insts = self._insts
         num_insts = self._num_insts
         is_branch_at = self._is_branch_at
         is_halt_at = self._is_halt_at
         pc_line_shift = self._pc_line_shift
         predictor = self.predictor
-        while len(group) < budget:
-            pc = self.pc
+        pc = self.pc
+        last_line = self._last_line
+        last_ready = self._last_ready
+        for _ in range(budget):
             # Inlined _icache_ready with an MRU same-line shortcut.
             line = pc >> pc_line_shift
-            if line == self._last_line:
-                ready = self._last_ready
-            else:
+            if line != last_line:
                 line_ready = self._line_ready
-                ready = line_ready.get(line)
-                if ready is None:
+                last_ready = line_ready.get(line)
+                if last_ready is None:
                     done = self.hierarchy.ifetch(pc * INST_BYTES, now)
-                    ready = now if done - now <= self._l1i_latency else done
-                    line_ready[line] = ready
+                    last_ready = (now if done - now <= self._l1i_latency
+                                  else done)
+                    line_ready[line] = last_ready
                     if len(line_ready) > self._line_ready_cap:
                         line_ready.popitem(last=False)
                 else:
                     line_ready.move_to_end(line)
-                self._last_line = line
-                self._last_ready = ready
-            if ready > now:
-                self.stalled_until = ready
+                last_line = line
+            if last_ready > now:
+                self.stalled_until = last_ready
                 break
             in_range = 0 <= pc < num_insts
             if in_range and is_halt_at[pc]:
                 self.halted = True
-                append(FetchedUop(pc, insts[pc], pc + 1, False, None))
+                append(FetchedUop(pc, insts[pc], pc + 1, False, None,
+                                  ready_at))
                 break
             if in_range and is_branch_at[pc]:
                 inst = insts[pc]
@@ -162,15 +167,20 @@ class FetchUnit:
                     # Indirect branch with no BTB target: fetch must wait
                     # for the branch to resolve.
                     self.wait_for_redirect = True
-                    append(FetchedUop(pc, inst, -1, taken, snapshot))
+                    append(FetchedUop(pc, inst, -1, taken, snapshot,
+                                      ready_at))
                     break
-                append(FetchedUop(pc, inst, target, taken, snapshot))
-                self.pc = target
+                append(FetchedUop(pc, inst, target, taken, snapshot,
+                                  ready_at))
+                pc = target
                 if taken:
                     break
             else:
                 inst = insts[pc] if in_range else self._nop
-                append(FetchedUop(pc, inst, pc + 1, False, None))
-                self.pc = pc + 1
+                append(FetchedUop(pc, inst, pc + 1, False, None, ready_at))
+                pc += 1
+        self.pc = pc
+        self._last_line = last_line
+        self._last_ready = last_ready
         self.fetched_uops += len(group)
         return group

@@ -206,17 +206,18 @@ class DataMemory:
         return (addr & MASK64) >> 3
 
     def load(self, addr: int) -> int:
-        key = self._key(addr)
-        try:
-            return self._words[key]
-        except KeyError:
-            if self.default_fill == "zero":
-                return 0
-            # splitmix64-style hash of the word index: deterministic junk.
-            z = (key + 0x9E3779B97F4A7C15) & MASK64
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-            return z ^ (z >> 31)
+        key = (addr & MASK64) >> 3
+        # Most loads hit unwritten words (the hash fill): avoid KeyError.
+        value = self._words.get(key)
+        if value is not None:
+            return value
+        if self.default_fill == "zero":
+            return 0
+        # splitmix64-style hash of the word index: deterministic junk.
+        z = (key + 0x9E3779B97F4A7C15) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
 
     def store(self, addr: int, value: int) -> None:
         self._words[self._key(addr)] = value & MASK64

@@ -34,17 +34,13 @@ from .shared import CORE_KINDS, SharedLLC
 __all__ = ["AccessResult", "CORE_KINDS", "MemoryHierarchy"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AccessResult:
-    """Outcome of one load access."""
+    """Outcome of one load access (not frozen: built once per load)."""
 
     done_cycle: int
     level: str            # "L1", "LLC", or "DRAM" — where the data came from
     merged: bool = False  # satisfied by an in-flight fill (MSHR merge)
-
-    @property
-    def llc_miss(self) -> bool:
-        return self.level == "DRAM"
 
 
 class MemoryHierarchy:

@@ -6,7 +6,9 @@ import pytest
 from repro import DataMemory, Interpreter, ProgramBuilder
 from repro.config import RunaheadMode, default_system, make_config
 from repro.core import Processor
-from repro.isa import NUM_ARCH_REGS
+from repro.frontend import FetchedUop
+from repro.isa import NUM_ARCH_REGS, Instruction, Opcode
+from repro.runahead import ChainUop
 from repro.workloads import gather
 
 from util import build_counted_loop
@@ -188,6 +190,100 @@ class TestDecodeBackpressure:
         for _ in range(3000):
             proc._step()
             assert len(proc.decode_queue) <= proc.decode_queue_cap
+
+
+class TestDispatchGroup:
+    """One rename/dispatch call handles a whole group in program order
+    and stops at the first uop that finds no slot."""
+
+    ADDI = Instruction(Opcode.ADDI, rd=1, rs1=1, imm=1)
+    LOAD = Instruction(Opcode.LD, rd=2, rs1=1, imm=0)
+    STORE = Instruction(Opcode.ST, rs1=1, rs2=2, imm=0)
+    NOP = Instruction(Opcode.NOP)
+
+    @staticmethod
+    def _idle_processor():
+        # No cycle is stepped: only hand-placed uops reach rename.
+        b = ProgramBuilder()
+        b.halt()
+        return Processor(b.build(), default_system())
+
+    def _queue(self, proc, insts):
+        for pc, inst in enumerate(insts):
+            proc.decode_queue.append(FetchedUop(pc, inst, pc + 1, False,
+                                                None, proc.now))
+
+    @staticmethod
+    def _no_rob_slot(proc):
+        proc._rob_size = len(proc.rob) + 1
+
+    @staticmethod
+    def _no_rs_slot(proc):
+        proc._rs_size = proc.rs_used + 1
+
+    @staticmethod
+    def _no_free_register(proc):
+        del proc.rename.free_list[1:]
+
+    @staticmethod
+    def _no_lq_slot(proc):
+        proc._lq_size = proc.load_queue_used
+
+    @staticmethod
+    def _no_sq_slot(proc):
+        proc.store_queue.capacity = len(proc.store_queue)
+
+    @pytest.mark.parametrize("limit, blocked", [
+        ("_no_rob_slot", ADDI),
+        ("_no_rs_slot", ADDI),
+        ("_no_free_register", ADDI),
+        ("_no_lq_slot", LOAD),
+        ("_no_sq_slot", STORE),
+    ])
+    def test_decode_group_stops_at_first_uop_without_a_slot(
+            self, limit, blocked):
+        """The second uop lacks a slot; the NOPs behind it need none of
+        the missing resource (except a ROB/RS entry) yet stay queued."""
+        proc = self._idle_processor()
+        self._queue(proc, [self.ADDI, blocked, self.NOP, self.NOP])
+        getattr(self, limit)(proc)
+        proc._rename_dispatch(proc.now, False)
+        assert [u.pc for u in proc.rob] == [0]
+        assert [f.pc for f in proc.decode_queue] == [1, 2, 3]
+        assert proc.seq == 1
+        assert proc.rs_used == 1
+
+    def test_decode_group_respects_ready_cycle_and_width(self):
+        proc = self._idle_processor()
+        self._queue(proc, [self.NOP] * 6)
+        proc.decode_queue[2].ready_at = proc.now + 1
+        proc._rename_dispatch(proc.now, False)
+        assert [u.pc for u in proc.rob] == [0, 1]
+        proc._rename_dispatch(proc.now + 1, False)
+        assert [u.pc for u in proc.rob] == [0, 1, 2, 3, 4, 5]
+        assert [u.seq for u in proc.rob] == list(range(6))
+
+    def test_buffer_group_stops_mid_chain_on_full_lq_and_resumes(self):
+        proc = self._idle_processor()
+        chain = (ChainUop(10, self.ADDI), ChainUop(11, self.LOAD),
+                 ChainUop(12, self.LOAD))
+        proc.rab.load_chain(chain)
+        proc._in_ra = True
+        proc._lq_size = 1
+        proc._rename_dispatch(proc.now, True)
+        assert [u.pc for u in proc.rob] == [10, 11]
+        assert proc.rab.peek() == chain[2]
+        # Next cycle the LQ has room: dispatch resumes at the same chain
+        # uop and wraps around the loop.
+        proc._lq_size = 8
+        proc._rename_dispatch(proc.now + 1, True)
+        assert [u.pc for u in proc.rob] == [10, 11, 12, 10, 11, 12]
+        assert [u.seq for u in proc.rob] == list(range(6))
+        assert all(u.from_rab and u.runahead for u in proc.rob)
+        assert proc.load_queue_used == 4
+        stats = proc._finalize_stats()
+        assert stats.energy_events["rab_read"] == len(proc.rob)
+        assert stats.dispatched_uops == len(proc.rob)
 
 
 class TestWatchdog:
